@@ -11,7 +11,7 @@ build:
 	$(GO) vet ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 10m ./...
 
 # Run the thriftyvet analyzer suite — hotpath, benignrace, padded,
 # errfreeze, metricfreeze, cancelpoint, plus the CFG/facts-based reflease,

@@ -17,9 +17,9 @@ import (
 	"thriftylp/cc"
 	"thriftylp/graph"
 	"thriftylp/graph/gen"
+	"thriftylp/internal/core"
 	"thriftylp/internal/dist"
 	"thriftylp/internal/harness"
-	"thriftylp/internal/spmv"
 	"thriftylp/internal/stats"
 )
 
@@ -415,8 +415,8 @@ func BenchmarkDistributed(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncEngine regenerates the sync-vs-async SpMV extension
-// (ccbench -exp async), reporting iteration counts as metrics.
+// BenchmarkAsyncEngine regenerates the sync-vs-async extension (ccbench
+// -exp async) for CC, reporting iteration counts as metrics.
 func BenchmarkAsyncEngine(b *testing.B) {
 	g := benchGraph(b, "web-webbase")
 	for _, async := range []bool{false, true} {
@@ -427,7 +427,7 @@ func BenchmarkAsyncEngine(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var iters int
 			for i := 0; i < b.N; i++ {
-				iters = spmv.CC(g, async).Iterations
+				iters = core.Propagate(g, core.Config{}, core.MinLabel, async).Iterations
 			}
 			b.ReportMetric(float64(iters), "iterations")
 		})

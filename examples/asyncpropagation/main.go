@@ -1,7 +1,7 @@
 // Asynchronous propagation: the paper's §VII closes by asking about "the
 // connection between the unified arrays optimization and asynchronous
-// execution". This example makes that connection concrete on the generic
-// min-propagation engine (internal/spmv): the same two programs — connected
+// execution". This example makes that connection concrete on the
+// label-propagation engine: the same two update rules — connected
 // components and BFS hop distance — run under a synchronous two-array
 // schedule and an asynchronous unified-array schedule, and the iteration
 // counts show how much of Thrifty's Unified Labels win is really
@@ -16,7 +16,7 @@ import (
 
 	"thriftylp/graph"
 	"thriftylp/graph/gen"
-	"thriftylp/internal/spmv"
+	"thriftylp/internal/core"
 )
 
 func main() {
@@ -43,11 +43,10 @@ func main() {
 	fmt.Printf("%-15s  %-22s  %-22s\n", "", "CC iterations", "BFS iterations")
 	fmt.Printf("%-15s  %-10s %-10s  %-10s %-10s\n", "dataset", "sync", "async", "sync", "async")
 	for _, tc := range graphs {
-		ccS := spmv.CC(tc.g, false)
-		ccA := spmv.CC(tc.g, true)
-		root := tc.g.MaxDegreeVertex()
-		bfS := spmv.HopDistance(tc.g, root, false)
-		bfA := spmv.HopDistance(tc.g, root, true)
+		ccS := core.Propagate(tc.g, core.Config{}, core.MinLabel, false)
+		ccA := core.Propagate(tc.g, core.Config{}, core.MinLabel, true)
+		bfS := core.Propagate(tc.g, core.Config{}, core.HopCount, false)
+		bfA := core.Propagate(tc.g, core.Config{}, core.HopCount, true)
 		fmt.Printf("%-15s  %-10d %-10d  %-10d %-10d\n",
 			tc.name, ccS.Iterations, ccA.Iterations, bfS.Iterations, bfA.Iterations)
 	}

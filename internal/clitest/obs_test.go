@@ -2,6 +2,7 @@ package clitest
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -67,31 +68,80 @@ func TestThriftyccTrace(t *testing.T) {
 }
 
 // TestThriftyccTraceMultiRep: every repetition is traced, stamped with its
-// run index.
+// run index, and converges to the same answer. Thrifty's benign races make
+// iteration counts depend on scheduling when more than one worker runs, so
+// the repetitions must agree on labels, component count and the final
+// converged-zero count (the planted hub's component), and on iteration
+// counts only under -threads 1.
 func TestThriftyccTraceMultiRep(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	out, err := run(t, "thriftycc", "-gen", "er:400:800", "-algo", "thrifty", "-reps", "3", "-trace", tracePath)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+	dir := t.TempDir()
+	type traced struct {
+		components string
+		labels     []byte
+		runs       map[int][]obs.TraceRecord
 	}
-	f, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
+	trace := func(threads string) traced {
+		tracePath := filepath.Join(dir, "trace-"+threads+".jsonl")
+		labelsPath := filepath.Join(dir, "labels-"+threads+".bin")
+		out, err := run(t, "thriftycc", "-gen", "er:400:800", "-algo", "thrifty", "-reps", "3",
+			"-threads", threads, "-trace", tracePath, "-labels", labelsPath)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		m := regexp.MustCompile(`(\d+) components`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no component count on stdout:\n%s", out)
+		}
+		labels, err := os.ReadFile(labelsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		recs, err := obs.ReadTrace(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := map[int][]obs.TraceRecord{}
+		for _, rec := range recs {
+			runs[rec.Run] = append(runs[rec.Run], rec)
+		}
+		if len(runs) != 3 {
+			t.Fatalf("-threads %s: trace covers runs %v, want 3 distinct run ids", threads, len(runs))
+		}
+		return traced{m[1], labels, runs}
 	}
-	defer f.Close()
-	recs, err := obs.ReadTrace(f)
-	if err != nil {
-		t.Fatal(err)
+	multi, single := trace("4"), trace("1")
+
+	if multi.components != single.components || !bytes.Equal(multi.labels, single.labels) {
+		t.Errorf("thread counts disagree: %s vs %s components, labels equal %v",
+			multi.components, single.components, bytes.Equal(multi.labels, single.labels))
 	}
-	runs := map[int]int{}
-	for _, rec := range recs {
-		runs[rec.Run]++
+	var zero int64 = -1
+	for _, tr := range []traced{multi, single} {
+		for id, recs := range tr.runs {
+			// Per-run coverage: iterations 0..k-1 in order, from the
+			// initial push to an iteration that changed nothing.
+			for i, rec := range recs {
+				if rec.Iter != i {
+					t.Fatalf("run %d record %d has iter %d", id, i, rec.Iter)
+				}
+			}
+			first, last := recs[0], recs[len(recs)-1]
+			if first.Kind != "initial-push" || last.Changed != 0 {
+				t.Errorf("run %d: first %s, last changed %d; want initial-push ... 0", id, first.Kind, last.Changed)
+			}
+			if zero >= 0 && last.Zero != zero {
+				t.Errorf("run %d ends with %d zero labels, another run with %d", id, last.Zero, zero)
+			}
+			zero = last.Zero
+		}
 	}
-	if len(runs) != 3 {
-		t.Fatalf("trace covers runs %v, want 3 distinct run ids", runs)
-	}
-	if runs[0] != runs[1] || runs[1] != runs[2] {
-		t.Errorf("deterministic reruns should trace identical iteration counts, got %v", runs)
+	if n0, n1, n2 := len(single.runs[0]), len(single.runs[1]), len(single.runs[2]); n0 != n1 || n1 != n2 {
+		t.Errorf("-threads 1 reruns should trace identical iteration counts, got %d/%d/%d", n0, n1, n2)
 	}
 }
 

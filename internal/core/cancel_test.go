@@ -43,7 +43,6 @@ func TestCancelPreRequestedStopsEveryAlgorithm(t *testing.T) {
 // oracle partition and reports Canceled = false.
 func TestCancelUnrequestedStopIsInert(t *testing.T) {
 	g := mustGraph(gen.RMAT(gen.DefaultRMAT(10, 8, 3)))
-	oracle := SeqCC(g)
 	for _, a := range algorithmsUnderTest {
 		t.Run(a.name, func(t *testing.T) {
 			res := a.run(g, Config{Stop: &Stop{}})
@@ -53,7 +52,7 @@ func TestCancelUnrequestedStopIsInert(t *testing.T) {
 			if res.Phase != "" {
 				t.Fatalf("%s: completed run reports Phase %q", a.name, res.Phase)
 			}
-			if !Equivalent(res.Labels, oracle) {
+			if !a.correct(g, res.Labels) {
 				t.Fatalf("%s: labels diverge from oracle with inert Stop", a.name)
 			}
 		})
@@ -88,7 +87,6 @@ func TestCancelConcurrentStopReturns(t *testing.T) {
 // workers wedged or counters skewed.
 func TestCancelPoolRemainsUsable(t *testing.T) {
 	g := mustGraph(gen.RMAT(gen.DefaultRMAT(10, 8, 3)))
-	oracle := SeqCC(g)
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	for _, a := range algorithmsUnderTest {
@@ -99,7 +97,7 @@ func TestCancelPoolRemainsUsable(t *testing.T) {
 				t.Fatalf("%s: cancelled run not marked Canceled", a.name)
 			}
 			res := a.run(g, Config{Pool: pool})
-			if res.Canceled || !Equivalent(res.Labels, oracle) {
+			if res.Canceled || !a.correct(g, res.Labels) {
 				t.Fatalf("%s: pool unusable after cancelled run", a.name)
 			}
 		})

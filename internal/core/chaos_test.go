@@ -35,14 +35,13 @@ func chaosGraph(t testing.TB) *graph.Graph {
 // scheduling.
 func TestChaosGoschedPreservesCorrectness(t *testing.T) {
 	g := chaosGraph(t)
-	oracle := SeqCC(g)
 	for _, a := range algorithmsUnderTest {
 		t.Run(a.name, func(t *testing.T) {
 			res := a.run(g, Config{Faults: &FaultPlan{GoschedEvery: 101}})
 			if res.Canceled {
 				t.Fatalf("%s: chaos run spuriously cancelled", a.name)
 			}
-			if !Equivalent(res.Labels, oracle) {
+			if !a.correct(g, res.Labels) {
 				t.Fatalf("%s: labels diverge from oracle under Gosched injection", a.name)
 			}
 		})
@@ -149,10 +148,10 @@ func TestChaosEventsObserved(t *testing.T) {
 	g := chaosGraph(t)
 	for _, a := range algorithmsUnderTest {
 		// The non-generic union-find kernels route their work through
-		// chunkCounts rather than the seam, so only the generic LP-family
-		// kernels tick the plan.
+		// chunkCounts rather than the seam, so only the label-propagation
+		// engine ticks the plan.
 		switch a.name {
-		case "thrifty", "dolp", "dolp-unified", "lp":
+		case "thrifty", "dolp", "dolp-unified", "lp", "cc-sync", "hops", "hops-sync":
 		default:
 			continue
 		}

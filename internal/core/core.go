@@ -3,6 +3,9 @@
 // against: textbook synchronous Label Propagation, Direction-Optimizing
 // Label Propagation (Algorithm 1), the DO-LP + Unified-Labels ablation
 // variant, Shiloach-Vishkin, Afforest, Jayanti-Tarjan, BFS-CC, and FastSV.
+// The four label-propagation algorithms are configurations of one engine
+// (engine.go), which also computes BFS hop distances under a second update
+// rule.
 // All algorithms run on the same runtime (internal/parallel), the same CSR
 // representation (graph), and the same optional instrumentation
 // (internal/counters), so comparisons among them measure algorithmic work

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"thriftylp/graph"
 	"thriftylp/graph/gen"
 	"thriftylp/internal/counters"
+	"thriftylp/internal/parallel"
 )
 
 // mustGraph adapts a generator's (graph, error) pair; generation failures
@@ -159,6 +161,123 @@ func TestDOLPIterationsVsUnified(t *testing.T) {
 	}
 	if !Equivalent(rd.Labels, ru.Labels) {
 		t.Fatal("unified variant computed a different partition")
+	}
+}
+
+// engineFixtures are instrFixtures plus loophub, whose max-degree vertex's
+// only edge is a self-loop: the initial push activates nothing, and the
+// mandatory first pull must still compare every vertex with its neighbours.
+func engineFixtures(t testing.TB) map[string]*graph.Graph {
+	out := instrFixtures(t)
+	out["loophub"] = mustGraph(graph.BuildUndirected(
+		[]graph.Edge{{U: 0, V: 0}, {U: 1, V: 2}}, graph.WithNumVertices(4)))
+	return out
+}
+
+// TestHopDistanceMatchesBFS: the HopCount rule computes exact BFS distances,
+// unreachable vertices included, on both label layouts, from the
+// max-degree vertex or from a caller-chosen PlantVertex.
+func TestHopDistanceMatchesBFS(t *testing.T) {
+	for name, g := range engineFixtures(t) {
+		want := bfsOracle(g, g.MaxDegreeVertex())
+		for _, unified := range []bool{false, true} {
+			if got := Propagate(g, Config{}, HopCount, unified).Labels; !slices.Equal(got, want) {
+				t.Fatalf("%s unified=%v: distances %v, want %v", name, unified, got, want)
+			}
+		}
+	}
+	path := mustGraph(gen.Path(10))
+	for _, unified := range []bool{false, true} {
+		res := Propagate(path, Config{PlantVertex: 9, PlantVertexSet: true}, HopCount, unified)
+		for v, d := range res.Labels {
+			if d != uint32(9-v) {
+				t.Fatalf("unified=%v: dist[%d] = %d, want %d", unified, v, d, 9-v)
+			}
+		}
+	}
+}
+
+// TestAsyncNeverMoreIterations: on one thread the unified array
+// (asynchronous execution) never needs more iterations than two arrays
+// (synchronous execution), for either rule — the §VII correspondence made
+// checkable.
+func TestAsyncNeverMoreIterations(t *testing.T) {
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	for name, g := range engineFixtures(t) {
+		for _, rule := range []Rule{MinLabel, HopCount} {
+			sync := Propagate(g, Config{Pool: pool}, rule, false)
+			async := Propagate(g, Config{Pool: pool}, rule, true)
+			if async.Iterations > sync.Iterations {
+				t.Fatalf("%s rule %d: async took %d iterations vs sync %d", name, rule, async.Iterations, sync.Iterations)
+			}
+		}
+	}
+}
+
+// TestTwoArrayVariantsMoveOneHop: the two-array variants are synchronous.
+// After every iteration the labels equal one Jacobi min-step of the
+// previous iteration's labels (the initial push: a step from the planted
+// vertex alone), so no value travels two hops in one iteration. A push that
+// read its source label from the array it writes would let a source
+// lowered earlier in the same push forward its new value.
+func TestTwoArrayVariantsMoveOneHop(t *testing.T) {
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	cases := []struct {
+		name    string
+		run     func(*graph.Graph, Config) Result
+		hops    bool
+		planted bool
+	}{
+		{"dolp", DOLP, false, false},
+		{"lp", LP, false, false},
+		{"cc-sync", propagateCase(MinLabel, false), false, true},
+		{"hops-sync", propagateCase(HopCount, false), true, true},
+	}
+	for name, g := range engineFixtures(t) {
+		for _, c := range cases {
+			t.Run(name+"/"+c.name, func(t *testing.T) {
+				rule := func(x uint32) uint32 {
+					if c.hops && x != Unreached {
+						return x + 1
+					}
+					return x
+				}
+				hub := g.MaxDegreeVertex()
+				want := make([]uint32, g.NumVertices())
+				for v := range want {
+					switch {
+					case c.hops:
+						want[v] = Unreached
+					case c.planted:
+						want[v] = uint32(v) + 1
+					default:
+						want[v] = uint32(v)
+					}
+				}
+				if c.planted {
+					want[hub] = 0
+				}
+				tr := &counters.Trace{OnIteration: func(rec counters.IterRecord, labels []uint32) {
+					prev := slices.Clone(want)
+					for v := range want {
+						for _, u := range g.Neighbors(uint32(v)) {
+							if rec.Kind != counters.KindInitialPush || u == hub {
+								want[v] = min(want[v], rule(prev[u]))
+							}
+						}
+					}
+					if !slices.Equal(labels, want) {
+						t.Fatalf("iteration %d (%s): labels %v, want %v", rec.Index, rec.Kind, labels, want)
+					}
+				}}
+				c.run(g, Config{Pool: pool, Trace: tr})
+				if len(tr.Iters) == 0 {
+					t.Fatal("no iterations traced")
+				}
+			})
+		}
 	}
 }
 

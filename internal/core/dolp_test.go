@@ -93,9 +93,6 @@ func TestFrontierStateCountsAndExtract(t *testing.T) {
 	if !seen[0] || !seen[5] || !seen[63] {
 		t.Fatalf("extract contents wrong: %v", got)
 	}
-	if d := f.density(g); d <= 0 {
-		t.Fatalf("density = %v", d)
-	}
 }
 
 // TestTable5InvariantAcrossSuite: Thrifty never needs more iterations than

@@ -7,10 +7,9 @@ import (
 )
 
 // This file defines the compile-time instrumentation policy the traversal
-// kernels are generic over. Every kernel (Thrifty push/pull/initial-push,
-// DO-LP push/pull, unified DO-LP push/pull, plain LP, and the sweeps they
-// run under) is written once, parameterized by a policy type; the run's
-// Config selects the policy once, so hot loops never branch on "is
+// kernels are generic over. The label-propagation engine's pull and push
+// kernels (engine.go) are written once, parameterized by a policy type; the
+// run's Config selects the policy once, so hot loops never branch on "is
 // instrumentation on?" per edge.
 //
 //   - noInstr is the fast path: every hook is an empty method on a
@@ -160,5 +159,27 @@ func iTouch[I instr[I]](ins I, v uint32) {
 func iFlush[I instr[I]](ins I, tid int) {
 	if unsafe.Sizeof(ins) != 0 {
 		ins.Flush(tid)
+	}
+}
+
+// iLoadIf, iBranchIf and iTouchIf record their event only when on holds:
+// the variant accounting switches of engine.go. The size test comes first,
+// so on the fast path the switch is never read.
+
+func iLoadIf[I instr[I]](ins I, on bool) {
+	if unsafe.Sizeof(ins) != 0 && on {
+		ins.Load()
+	}
+}
+
+func iBranchIf[I instr[I]](ins I, on bool) {
+	if unsafe.Sizeof(ins) != 0 && on {
+		ins.Branch()
+	}
+}
+
+func iTouchIf[I instr[I]](ins I, on bool, v uint32) {
+	if unsafe.Sizeof(ins) != 0 && on {
+		ins.Touch(v)
 	}
 }

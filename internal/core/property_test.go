@@ -1,29 +1,77 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"thriftylp/graph"
+	"thriftylp/graph/gen"
 )
 
-// algorithmsUnderTest enumerates every implementation with a uniform
-// signature for the property tests.
-var algorithmsUnderTest = []struct {
+// algoCase is one implementation under test with a uniform signature.
+type algoCase struct {
 	name string
 	run  func(*graph.Graph, Config) Result
-}{
-	{"thrifty", Thrifty},
-	{"dolp", DOLP},
-	{"dolp-unified", DOLPUnified},
-	{"lp", LP},
-	{"sv", ShiloachVishkin},
-	{"afforest", Afforest},
-	{"jt", JayantiTarjan},
-	{"bfs", BFSCC},
-	{"fastsv", FastSV},
-	{"connectit-kout", ConnectItKOut},
-	{"connectit-bfs", ConnectItBFS},
+	// hops marks the HopCount rule: its labels are hop distances from the
+	// max-degree vertex, not a partition.
+	hops bool
+}
+
+// correct reports whether labels are a's answer on g: the sequential
+// oracle's partition, or for hop counts exactly the BFS distances.
+func (a algoCase) correct(g *graph.Graph, labels []uint32) bool {
+	if a.hops {
+		return slices.Equal(labels, bfsOracle(g, g.MaxDegreeVertex()))
+	}
+	return Equivalent(labels, SeqCC(g))
+}
+
+// propagateCase adapts Propagate to the table signature.
+func propagateCase(rule Rule, unified bool) func(*graph.Graph, Config) Result {
+	return func(g *graph.Graph, cfg Config) Result { return Propagate(g, cfg, rule, unified) }
+}
+
+// algorithmsUnderTest enumerates every implementation for the property,
+// cancellation and chaos tests, including the engine's synchronous CC and
+// its hop-count rule.
+var algorithmsUnderTest = []algoCase{
+	{name: "thrifty", run: Thrifty},
+	{name: "dolp", run: DOLP},
+	{name: "dolp-unified", run: DOLPUnified},
+	{name: "lp", run: LP},
+	{name: "cc-sync", run: propagateCase(MinLabel, false)},
+	{name: "hops", run: propagateCase(HopCount, true), hops: true},
+	{name: "hops-sync", run: propagateCase(HopCount, false), hops: true},
+	{name: "sv", run: ShiloachVishkin},
+	{name: "afforest", run: Afforest},
+	{name: "jt", run: JayantiTarjan},
+	{name: "bfs", run: BFSCC},
+	{name: "fastsv", run: FastSV},
+	{name: "connectit-kout", run: ConnectItKOut},
+	{name: "connectit-bfs", run: ConnectItBFS},
+}
+
+// bfsOracle computes hop distances from root sequentially; vertices no path
+// reaches hold Unreached.
+func bfsOracle(g *graph.Graph, root uint32) []uint32 {
+	dist := make([]uint32, g.NumVertices())
+	for i := range dist {
+		dist[i] = Unreached
+	}
+	dist[root] = 0
+	queue := []uint32{root}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, u := range g.Neighbors(v) {
+			if dist[u] == Unreached {
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
+			}
+		}
+	}
+	return dist
 }
 
 // buildRandom converts quick's raw bytes into a graph over up to 256
@@ -44,18 +92,21 @@ func buildRandom(raw []byte) (*graph.Graph, bool) {
 
 // TestQuickAllAlgorithmsAgreeWithOracle is the repository's central
 // property: on arbitrary random multigraphs, every algorithm's partition
-// equals the sequential oracle's.
+// equals the sequential oracle's (hop counts equal BFS distances,
+// unreachable vertices included), and the empty graph yields no labels.
 func TestQuickAllAlgorithmsAgreeWithOracle(t *testing.T) {
+	empty := mustGraph(gen.Empty(0))
 	for _, a := range algorithmsUnderTest {
-		a := a
 		t.Run(a.name, func(t *testing.T) {
+			if res := a.run(empty, Config{}); len(res.Labels) != 0 {
+				t.Fatalf("empty graph: %d labels", len(res.Labels))
+			}
 			f := func(raw []byte) bool {
 				g, ok := buildRandom(raw)
 				if !ok {
 					return false
 				}
-				res := a.run(g, Config{})
-				return Equivalent(res.Labels, SeqCC(g))
+				return a.correct(g, a.run(g, Config{}).Labels)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 				t.Fatal(err)

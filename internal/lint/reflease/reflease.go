@@ -387,6 +387,10 @@ func (c *checker) analyzeSite(enclosing *types.Func, graph *cfg.CFG, parents map
 	in[graph.Entry] = tupleSet{tuple{nilness: nilMaybe}: true}
 	work := []*cfg.Block{graph.Entry}
 	inWork := map[*cfg.Block]bool{graph.Entry: true}
+	// visited is kept apart from in: a branch refined to the empty set
+	// (an infeasible nil test) has an empty state, and treating "empty" as
+	// "never reached" would re-queue a loop inside it forever.
+	visited := map[*cfg.Block]bool{graph.Entry: true}
 	returned := false
 
 	for len(work) > 0 {
@@ -397,7 +401,8 @@ func (c *checker) analyzeSite(enclosing *types.Func, graph *cfg.CFG, parents map
 		outs := c.transfer(blk, in[blk], parents, s, rep, &returned)
 		for i, succ := range blk.Succs {
 			merged, changed := union(in[succ], outs[i])
-			if changed || in[succ] == nil {
+			if changed || !visited[succ] {
+				visited[succ] = true
 				in[succ] = merged
 				if !inWork[succ] {
 					work = append(work, succ)

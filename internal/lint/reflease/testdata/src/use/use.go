@@ -139,3 +139,17 @@ func loopOK(src *snap.Source, n int) {
 		sn.Release()
 	}
 }
+
+// vacuous has a redundant second nil check whose then-branch contains a loop.
+func vacuous(src *snap.Source) {
+	sn := src.Acquire()
+	if sn == nil {
+		return
+	}
+	if sn == nil {
+		for i := 0; i < 3; i++ {
+			_ = i
+		}
+	}
+	sn.Release()
+}

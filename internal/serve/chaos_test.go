@@ -118,8 +118,12 @@ func TestChaosReloadUnderLoad(t *testing.T) {
 		}(i)
 	}
 
-	// Reload loop: alternate the two graphs through the served path.
-	for k := 0; k < 12; k++ {
+	// Reload loop: alternate the two graphs through the served path, at
+	// least 12 times and until some query has been answered meanwhile. On
+	// one CPU a dozen fast reloads can finish before any client goroutine
+	// is scheduled; the storm must overlap live traffic to test anything.
+	deadline := time.Now().Add(10 * time.Second)
+	for k := 0; k < 12 || served200.Load() == 0 && time.Now().Before(deadline); k++ {
 		src := bigPath
 		if k%2 == 0 {
 			src = smallPath

@@ -1,4 +1,8 @@
-package spmv
+// Package spmv_test holds the contract tests of the generic SpMV-style
+// propagation engine (§VII) whose programs are now core.Propagate under the
+// MinLabel and HopCount rules: async means one unified labels array, sync
+// means two arrays and a sync pass. The directory has no non-test code.
+package spmv_test
 
 import (
 	"testing"
@@ -16,12 +20,22 @@ func mustGraph(g *graph.Graph, err error) *graph.Graph {
 	return g
 }
 
+// cc runs connected components on one array (async) or two (sync).
+func cc(g *graph.Graph, async bool) core.Result {
+	return core.Propagate(g, core.Config{}, core.MinLabel, async)
+}
+
+// hopDistance runs BFS hop distance from root on one array or two.
+func hopDistance(g *graph.Graph, root uint32, async bool) core.Result {
+	return core.Propagate(g, core.Config{PlantVertex: root, PlantVertexSet: true}, core.HopCount, async)
+}
+
 // bfsOracle computes hop distances sequentially.
 func bfsOracle(g *graph.Graph, root uint32) []uint32 {
 	n := g.NumVertices()
 	dist := make([]uint32, n)
 	for i := range dist {
-		dist[i] = Unreached
+		dist[i] = core.Unreached
 	}
 	dist[root] = 0
 	queue := []uint32{root}
@@ -29,7 +43,7 @@ func bfsOracle(g *graph.Graph, root uint32) []uint32 {
 		v := queue[0]
 		queue = queue[1:]
 		for _, u := range g.Neighbors(v) {
-			if dist[u] == Unreached {
+			if dist[u] == core.Unreached {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
 			}
@@ -42,11 +56,8 @@ func testGraphs() map[string]*graph.Graph {
 	// loophub: the max-degree vertex's only edge is a self-loop, so the
 	// initial push activates nothing — regression fixture for the
 	// do-while guarantee (at least one full sweep must still run).
-	loopHub, err := graph.BuildUndirected(
-		[]graph.Edge{{U: 0, V: 0}, {U: 1, V: 2}}, graph.WithNumVertices(4))
-	if err != nil {
-		panic(err)
-	}
+	loopHub := mustGraph(graph.BuildUndirected(
+		[]graph.Edge{{U: 0, V: 0}, {U: 1, V: 2}}, graph.WithNumVertices(4)))
 	return map[string]*graph.Graph{
 		"rmat":    mustGraph(gen.RMAT(gen.DefaultRMAT(11, 8, 4))),
 		"path":    mustGraph(gen.Path(700)),
@@ -62,23 +73,10 @@ func TestCCMatchesOracleBothModes(t *testing.T) {
 	for name, g := range testGraphs() {
 		oracle := core.SeqCC(g)
 		for _, async := range []bool{false, true} {
-			res := CC(g, async)
-			if !core.Equivalent(res.Values, oracle) {
+			res := cc(g, async)
+			if !core.Equivalent(res.Labels, oracle) {
 				t.Fatalf("%s async=%v: wrong partition", name, async)
 			}
-		}
-	}
-}
-
-func TestCCMatchesThriftyLabels(t *testing.T) {
-	g := mustGraph(gen.RMAT(gen.DefaultRMAT(12, 8, 9)))
-	engine := CC(g, true)
-	hand := core.Thrifty(g, core.Config{})
-	// Not just the same partition — the same label values (0 on the hub's
-	// component, min+1 elsewhere).
-	for v := range engine.Values {
-		if engine.Values[v] != hand.Labels[v] {
-			t.Fatalf("vertex %d: engine %d vs thrifty %d", v, engine.Values[v], hand.Labels[v])
 		}
 	}
 }
@@ -91,71 +89,43 @@ func TestHopDistanceMatchesBFS(t *testing.T) {
 		root := g.MaxDegreeVertex()
 		want := bfsOracle(g, root)
 		for _, async := range []bool{false, true} {
-			res := HopDistance(g, root, async)
+			res := hopDistance(g, root, async)
 			for v := range want {
-				if res.Values[v] != want[v] {
+				if res.Labels[v] != want[v] {
 					t.Fatalf("%s async=%v: dist[%d] = %d, want %d",
-						name, async, v, res.Values[v], want[v])
+						name, async, v, res.Labels[v], want[v])
 				}
 			}
 		}
 	}
 }
 
-// TestAsyncNeverMoreIterations: the unified-array (asynchronous) engine
-// must never need more iterations than the synchronous one — the §VII
-// correspondence made checkable.
-func TestAsyncNeverMoreIterations(t *testing.T) {
-	for name, g := range testGraphs() {
-		sync := CC(g, false)
-		async := CC(g, true)
-		if async.Iterations > sync.Iterations {
-			t.Fatalf("%s: async CC took %d iterations vs sync %d", name, async.Iterations, sync.Iterations)
-		}
-		if g.NumVertices() == 0 {
-			continue
-		}
-		root := g.MaxDegreeVertex()
-		sd := HopDistance(g, root, false)
-		ad := HopDistance(g, root, true)
-		if ad.Iterations > sd.Iterations {
-			t.Fatalf("%s: async BFS took %d iterations vs sync %d", name, ad.Iterations, sd.Iterations)
-		}
-	}
-}
-
 func TestEmptyGraph(t *testing.T) {
 	g := mustGraph(gen.Empty(0))
-	res := CC(g, true)
-	if len(res.Values) != 0 || res.Iterations != 0 {
-		t.Fatalf("empty: %+v", res)
+	for _, async := range []bool{false, true} {
+		res := cc(g, async)
+		if len(res.Labels) != 0 || res.Iterations != 0 {
+			t.Fatalf("empty async=%v: %+v", async, res)
+		}
 	}
 }
 
 func TestSeedsAndFloorSemantics(t *testing.T) {
-	// A path seeded at one end: floor convergence applies only to value 0.
+	// A path seeded at one end: the floor is the seed's value 0, which only
+	// the seed holds, so every other vertex keeps propagating until it has
+	// its exact distance.
 	g := mustGraph(gen.Path(10))
-	res := Run(g, Program{
-		Init: func(v uint32) uint32 { return Unreached },
-		EdgeFn: func(x uint32) uint32 {
-			if x == Unreached {
-				return Unreached
+	for _, async := range []bool{false, true} {
+		res := hopDistance(g, 9, async)
+		for v := 0; v < 10; v++ {
+			if res.Labels[v] != uint32(9-v) {
+				t.Fatalf("async=%v: dist[%d] = %d, want %d", async, v, res.Labels[v], 9-v)
 			}
-			return x + 1
-		},
-		Floor:       0,
-		Seeds:       []Seed{{Vertex: 9, Value: 0}},
-		InitialPush: true,
-		Async:       true,
-	})
-	for v := 0; v < 10; v++ {
-		if res.Values[v] != uint32(9-v) {
-			t.Fatalf("dist[%d] = %d, want %d", v, res.Values[v], 9-v)
 		}
 	}
 }
 
-// TestQuickEngineAgreesWithOracles hammers both programs on random graphs.
+// TestQuickEngineAgreesWithOracles hammers both rules on random graphs.
 func TestQuickEngineAgreesWithOracles(t *testing.T) {
 	f := func(raw []byte, async bool) bool {
 		var edges []graph.Edge
@@ -166,12 +136,12 @@ func TestQuickEngineAgreesWithOracles(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !core.Equivalent(CC(g, async).Values, core.SeqCC(g)) {
+		if !core.Equivalent(cc(g, async).Labels, core.SeqCC(g)) {
 			return false
 		}
 		root := g.MaxDegreeVertex()
 		want := bfsOracle(g, root)
-		got := HopDistance(g, root, async).Values
+		got := hopDistance(g, root, async).Labels
 		for v := range want {
 			if got[v] != want[v] {
 				return false

@@ -22,7 +22,7 @@ const stealChunk = 64
 
 // Set is a frontier of active vertices with per-thread insertion lists.
 // A Set is written during one iteration (via Add) and consumed during the
-// next (via Drain); Reset prepares it for reuse.
+// next (via Claim); Reset prepares it for reuse.
 type Set struct {
 	marked  []uint32   // shared mark array; atomic load/store, no CAS
 	lists   [][]uint32 // one local worklist per thread
@@ -105,32 +105,25 @@ func (s *Set) Len() int {
 // Empty reports whether no vertex is queued.
 func (s *Set) Empty() bool { return s.Len() == 0 }
 
-// Drain consumes the Set on behalf of thread tid: first chunks of tid's own
-// list, then chunks stolen from the other threads' lists in ring order.
-// Drain is called concurrently by all threads; each queued vertex is
-// delivered to exactly one caller (though the same vertex id may have been
-// queued twice by racing Adds).
+// Claim hands thread tid the next chunk of queued vertices: chunks of
+// tid's own list first, then chunks stolen from the other threads' lists in
+// ring order. ring carries the caller's place in that order between calls;
+// it starts at 0. Claim returns nil once every list is exhausted. Claim is
+// called concurrently by all threads; each queued vertex is delivered to
+// exactly one caller (though the same vertex id may have been queued twice
+// by racing Adds).
 //
 //thrifty:hotpath
-func (s *Set) Drain(tid int, fn func(v uint32)) {
-	for d := 0; d < s.threads; d++ {
-		li := (tid + d) % s.threads
+func (s *Set) Claim(tid int, ring *int) []uint32 {
+	for ; *ring < s.threads; *ring++ {
+		li := (tid + *ring) % s.threads
 		list := s.lists[li]
-		cur := &s.cursors[li].c
-		for {
-			lo := int(atomicx.AddInt64(cur, stealChunk)) - stealChunk
-			if lo >= len(list) {
-				break
-			}
-			hi := lo + stealChunk
-			if hi > len(list) {
-				hi = len(list)
-			}
-			for _, v := range list[lo:hi] {
-				fn(v)
-			}
+		lo := int(atomicx.AddInt64(&s.cursors[li].c, stealChunk)) - stealChunk
+		if lo < len(list) {
+			return list[lo:min(lo+stealChunk, len(list))]
 		}
 	}
+	return nil
 }
 
 // ForEach visits every queued vertex single-threadedly (duplicates

@@ -25,7 +25,7 @@ func BenchmarkDrainOwn(b *testing.B) {
 		}
 		b.StartTimer()
 		n := 0
-		s.Drain(0, func(uint32) { n++ })
+		drain(s, 0, func(uint32) { n++ })
 		if n != items {
 			b.Fatalf("drained %d", n)
 		}
@@ -49,7 +49,7 @@ func BenchmarkDrainStealing(b *testing.B) {
 			wg.Add(1)
 			go func(tid int) {
 				defer wg.Done()
-				s.Drain(tid, func(uint32) {})
+				drain(s, tid, func(uint32) {})
 			}(tid)
 		}
 		wg.Wait()

@@ -23,6 +23,20 @@ func TestAddAndLen(t *testing.T) {
 	}
 }
 
+// drain consumes s on behalf of thread tid, calling fn on every vertex
+// Claim hands it — the way the push kernel consumes a frontier.
+func drain(s *Set, tid int, fn func(v uint32)) {
+	for ring := 0; ; {
+		chunk := s.Claim(tid, &ring)
+		if chunk == nil {
+			return
+		}
+		for _, v := range chunk {
+			fn(v)
+		}
+	}
+}
+
 func TestDrainDeliversEverythingOnce(t *testing.T) {
 	const n = 10000
 	const threads = 4
@@ -36,7 +50,7 @@ func TestDrainDeliversEverythingOnce(t *testing.T) {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			s.Drain(tid, func(v uint32) { atomic.AddInt32(&counts[v], 1) })
+			drain(s, tid, func(v uint32) { atomic.AddInt32(&counts[v], 1) })
 		}(tid)
 	}
 	wg.Wait()
@@ -48,7 +62,7 @@ func TestDrainDeliversEverythingOnce(t *testing.T) {
 }
 
 // TestDrainStealsAcrossThreads puts all work on thread 0's list and checks
-// that other threads' Drain calls still retrieve it.
+// that other threads' drains still retrieve it.
 func TestDrainStealsAcrossThreads(t *testing.T) {
 	const n = 1000
 	s := New(n, 4)
@@ -61,7 +75,7 @@ func TestDrainStealsAcrossThreads(t *testing.T) {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			s.Drain(tid, func(uint32) { atomic.AddInt64(&got, 1) })
+			drain(s, tid, func(uint32) { atomic.AddInt64(&got, 1) })
 		}(tid)
 	}
 	wg.Wait()
@@ -79,7 +93,7 @@ func TestResetAllowsReuse(t *testing.T) {
 			t.Fatalf("round %d: Len = %d", round, s.Len())
 		}
 		var seen []uint32
-		s.Drain(0, func(v uint32) { seen = append(seen, v) })
+		drain(s, 0, func(v uint32) { seen = append(seen, v) })
 		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
 		if len(seen) != 2 || seen[0] != 10 || seen[1] != 20 {
 			t.Fatalf("round %d: drained %v", round, seen)
