@@ -34,14 +34,10 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Refresh the machine-readable perf-regression records: kernel timings
-# (uninstrumented fast path, fixed medium-scale fixtures, min of 5 reps) in
-# BENCH_thrifty.json, ingestion timings (parallel zero-copy pipeline vs the
-# frozen sequential baseline) in BENCH_ingest.json, serving QPS/latency
-# (thriftyd query stack under concurrent load) in BENCH_serve.json, and the
-# sharded-exchange gate (compacted vs naive boundary exchange, suppression
-# counts, unsharded denominator; fails on a compaction inversion) in
-# BENCH_shard.json.
+# Refresh the four committed BENCH_*.json perf records in one ccbench run
+# (min of 5 reps each; the suites are listed in the cmd/ccbench package doc).
+# The shard suite fails the run on a compaction inversion or when
+# suppression never fires.
 bench-json:
 	$(GO) run ./cmd/ccbench -ingest-json BENCH_ingest.json -serve-json BENCH_serve.json -shard-json BENCH_shard.json -json BENCH_thrifty.json -reps 5
 

@@ -99,11 +99,6 @@ func toProbeStats(p stats.Probe, reason string) *ProbeStats {
 //     its edge; direction-optimizing BFS explores the single giant
 //     component with the fewest edge touches.
 //
-// FastSV is never selected: across every family and thread count measured
-// it trailed the winner by 5-25x, matching the paper's observation that
-// min-hooking does strictly more work per edge than direction-optimized
-// propagation.
-//
 // One rule precedes all the structural ones: beyond-memory-budget. When the
 // caller declared a byte budget (WithMemoryBudget or THRIFTY_MEM_BUDGET)
 // and the input's estimated whole-graph working set exceeds it, no

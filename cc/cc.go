@@ -26,7 +26,7 @@ type Algorithm string
 
 // The implemented algorithms. AlgoThrifty is the paper's contribution; the
 // rest are the evaluation baselines of Table IV plus the DO-LP+Unified
-// ablation variant of Fig 9/10 and the FastSV extension baseline (§VI).
+// ablation variant of Fig 9/10.
 // AlgoShard (declared in shard.go) is the sharded out-of-core Thrifty
 // pipeline; AlgoAuto (auto.go) is the probe-driven selector.
 const (
@@ -38,7 +38,6 @@ const (
 	AlgoAfforest      Algorithm = "afforest"
 	AlgoJayantiT      Algorithm = "jt"
 	AlgoBFSCC         Algorithm = "bfs"
-	AlgoFastSV        Algorithm = "fastsv"
 	AlgoConnectItKOut Algorithm = "connectit-kout"
 	AlgoConnectItBFS  Algorithm = "connectit-bfs"
 )
@@ -48,7 +47,7 @@ const (
 func Algorithms() []Algorithm {
 	return []Algorithm{
 		AlgoThrifty, AlgoDOLP, AlgoDOLPUnified, AlgoLP,
-		AlgoSV, AlgoAfforest, AlgoJayantiT, AlgoBFSCC, AlgoFastSV,
+		AlgoSV, AlgoAfforest, AlgoJayantiT, AlgoBFSCC,
 		AlgoConnectItKOut, AlgoConnectItBFS, AlgoShard, AlgoAuto,
 	}
 }

@@ -165,7 +165,7 @@ func TestResultHelpers(t *testing.T) {
 
 func TestAlgorithmsListStable(t *testing.T) {
 	algos := cc.Algorithms()
-	if len(algos) != 13 {
+	if len(algos) != 12 {
 		t.Fatalf("Algorithms() has %d entries", len(algos))
 	}
 	if algos[0] != cc.AlgoThrifty {

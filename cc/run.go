@@ -110,8 +110,6 @@ func run(a Algorithm, g *graph.Graph, o *options) (core.Result, error) {
 		return core.JayantiTarjan(g, o.cfg), nil
 	case AlgoBFSCC:
 		return core.BFSCC(g, o.cfg), nil
-	case AlgoFastSV:
-		return core.FastSV(g, o.cfg), nil
 	case AlgoConnectItKOut:
 		return core.ConnectItKOut(g, o.cfg), nil
 	case AlgoConnectItBFS:
@@ -306,9 +304,6 @@ func JayantiTarjan(g *graph.Graph, opts ...Option) Result { return mustRun(AlgoJ
 
 // BFSCC runs direction-optimizing BFS-based CC.
 func BFSCC(g *graph.Graph, opts ...Option) Result { return mustRun(AlgoBFSCC, g, opts) }
-
-// FastSV runs the FastSV min-hooking CC algorithm.
-func FastSV(g *graph.Graph, opts ...Option) Result { return mustRun(AlgoFastSV, g, opts) }
 
 // ConnectItKOut runs the ConnectIt-style k-out-sampling + union-find CC.
 func ConnectItKOut(g *graph.Graph, opts ...Option) Result { return mustRun(AlgoConnectItKOut, g, opts) }

@@ -10,38 +10,28 @@
 // Experiment ids follow the paper's numbering: table1, table2, table4,
 // table5, table6, table7, fig1, fig2, fig3, fig5, fig6, fig7, fig9.
 //
-// With -json, ccbench instead runs the perf-regression suite (uninstrumented
-// fast-path timings of every label-propagation kernel on the fixed
-// medium-scale fixtures) and writes machine-readable results to the given
-// file — `make bench-json` uses this to refresh BENCH_thrifty.json:
+// The perf suites write machine-readable results instead, each to the file
+// its flag names; `make bench-json` runs all four to refresh BENCH_*.json:
+//
+//   - -ingest-json: edge-list and binary CSR ingestion, frozen sequential
+//     baseline vs the parallel zero-copy pipeline.
+//   - -serve-json: a real thriftyd query server on a loopback listener under
+//     concurrent clients; per-endpoint QPS and latency percentiles.
+//   - -shard-json: the out-of-core sharded pipeline at several shard counts
+//     against unsharded Thrifty, plus streamed-generator memory. The run
+//     FAILS if the compacted exchange does not beat the naive encoding or
+//     suppression never fires.
+//   - -json: uninstrumented fast-path timings of every label-propagation
+//     kernel and auto; -algo narrows the set, -trace records one
+//     instrumented run per cell.
+//
+// Any combination runs in one invocation, in the order listed, and replaces
+// the experiments. Each suite warns when the file it overwrites was
+// recorded on a different host.
 //
 //	ccbench -json BENCH_thrifty.json -reps 5
-//	ccbench -json auto.json -algo auto      # only the selector; records carry "selected"
-//
-// With -ingest-json, ccbench additionally (or alone) runs the ingestion
-// regression suite — text edge-list parse+build and binary CSR load, frozen
-// sequential baseline vs the parallel zero-copy pipeline — and writes
-// machine-readable results to the given file — `make bench-json` uses this
-// to refresh BENCH_ingest.json:
-//
-//	ccbench -ingest-json BENCH_ingest.json -reps 5
-//
-// With -serve-json, ccbench runs the serving load test — a real thriftyd
-// query server (internal/serve) on a loopback listener, driven by concurrent
-// clients across all four query endpoints — and writes per-endpoint QPS and
-// latency percentiles to the given file — `make bench-json` uses this to
-// refresh BENCH_serve.json:
-//
-//	ccbench -serve-json BENCH_serve.json -reps 5
-//
-// With -shard-json, ccbench runs the sharded-exchange regression gate — the
-// out-of-core pipeline (cc.AlgoShard) on hub-heavy fixtures at several shard
-// counts, with unsharded Thrifty as the denominator and the streamed
-// sharded generator's memory accounting attached. The run FAILS if the
-// compacted exchange does not beat the naive flat encoding — `make
-// bench-json` uses this to refresh BENCH_shard.json:
-//
-//	ccbench -shard-json BENCH_shard.json -reps 5
+//	ccbench -json auto.json -algo auto
+//	ccbench -ingest-json i.json -serve-json s.json -shard-json d.json -scale small -reps 1
 package main
 
 import (
@@ -96,6 +86,13 @@ func main() {
 		defer tcancel()
 	}
 
+	// An unknown scale would silently fall through to the fixture helpers'
+	// default (medium) sizes.
+	switch harness.Scale(*scale) {
+	case harness.ScaleSmall, harness.ScaleMedium, harness.ScaleLarge:
+	default:
+		fatalf("unknown -scale %q (valid: %s, %s, %s)", *scale, harness.ScaleSmall, harness.ScaleMedium, harness.ScaleLarge)
+	}
 	cfg := harness.RunConfig{
 		Scale:   harness.Scale(*scale),
 		Reps:    *reps,
@@ -127,109 +124,56 @@ func main() {
 		fmt.Printf("debug server listening on %s\n", srv.URL())
 	}
 
-	if *ingOut != "" {
-		prev, prevErr := harness.ReadIngestReport(*ingOut)
-		start := time.Now()
-		rep, err := harness.IngestRegression(cfg)
+	if *trace != "" {
+		tw, err := obs.CreateTrace(*trace)
 		if err != nil {
-			fatalf("ingest regression: %v", err)
+			fatalf("%v", err)
 		}
-		if err := rep.WriteJSON(*ingOut); err != nil {
-			fatalf("writing %s: %v", *ingOut, err)
-		}
-		if prevErr == nil {
-			for _, line := range rep.HostMismatch(prev) {
-				fmt.Fprintf(os.Stderr, "ccbench: warning: host mismatch vs previous %s: %s\n", *ingOut, line)
+		defer func() {
+			if err := tw.Close(); err != nil {
+				fatalf("closing trace: %v", err)
 			}
-		}
-		fmt.Print(rep.Render())
-		fmt.Printf("(ingestion suite completed in %v, wrote %s)\n",
-			time.Since(start).Round(time.Millisecond), *ingOut)
-		if *jsonOut == "" && *srvOut == "" && *shdOut == "" {
-			return
-		}
+		}()
+		cfg.Trace = tw
 	}
-
-	if *srvOut != "" {
-		prev, prevErr := harness.ReadServeReport(*srvOut)
-		start := time.Now()
-		rep, err := harness.ServeRegression(cfg)
-		if err != nil {
-			fatalf("serve load test: %v", err)
-		}
-		if err := rep.WriteJSON(*srvOut); err != nil {
-			fatalf("writing %s: %v", *srvOut, err)
-		}
-		if prevErr == nil {
-			for _, line := range rep.HostMismatch(prev) {
-				fmt.Fprintf(os.Stderr, "ccbench: warning: host mismatch vs previous %s: %s\n", *srvOut, line)
-			}
-		}
-		fmt.Print(rep.Render())
-		fmt.Printf("(serving load test completed in %v, wrote %s)\n",
-			time.Since(start).Round(time.Millisecond), *srvOut)
-		if *jsonOut == "" && *shdOut == "" {
-			return
-		}
+	suites := []struct {
+		out  string
+		name string
+		run  func(harness.RunConfig) (harness.Report, error)
+	}{
+		{*ingOut, "ingestion suite", report(harness.IngestRegression)},
+		{*srvOut, "serving load test", report(harness.ServeRegression)},
+		{*shdOut, "sharded regression gate", report(harness.ShardRegression)},
+		{*jsonOut, "regression suite", report(harness.BenchRegression)},
 	}
-
-	if *shdOut != "" {
-		prev, prevErr := harness.ReadShardReport(*shdOut)
-		start := time.Now()
-		rep, err := harness.ShardRegression(cfg)
-		if err != nil {
-			fatalf("shard regression: %v", err)
+	ranSuite := false
+	for _, s := range suites {
+		if s.out == "" {
+			continue
 		}
-		if err := rep.WriteJSON(*shdOut); err != nil {
-			fatalf("writing %s: %v", *shdOut, err)
-		}
-		if prevErr == nil {
-			for _, line := range rep.HostMismatch(prev) {
-				fmt.Fprintf(os.Stderr, "ccbench: warning: host mismatch vs previous %s: %s\n", *shdOut, line)
-			}
-		}
-		fmt.Print(rep.Render())
-		fmt.Printf("(sharded regression gate completed in %v, wrote %s)\n",
-			time.Since(start).Round(time.Millisecond), *shdOut)
-		if *jsonOut == "" {
-			return
-		}
-	}
-
-	if *jsonOut != "" {
-		if *trace != "" {
-			tw, err := obs.CreateTrace(*trace)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			defer func() {
-				if err := tw.Close(); err != nil {
-					fatalf("closing trace: %v", err)
-				}
-			}()
-			cfg.Trace = tw
-		}
-		// The previous report (if any) is read before it is overwritten, so
-		// a host change between the two measurements can be flagged: a delta
+		ranSuite = true
+		// The previous stamp is read before the file is overwritten, so a
+		// host change between the two measurements can be flagged: a delta
 		// across differing hosts is not a code regression signal.
-		prev, prevErr := harness.ReadBenchReport(*jsonOut)
-
+		prev, prevErr := harness.ReadHostStamp(s.out)
 		start := time.Now()
-		rep, err := harness.BenchRegression(cfg)
+		rep, err := s.run(cfg)
 		if err != nil {
-			fatalf("perf regression: %v", err)
+			fatalf("%s: %v", s.name, err)
 		}
-		if err := rep.WriteJSON(*jsonOut); err != nil {
-			fatalf("writing %s: %v", *jsonOut, err)
+		if err := harness.WriteReport(s.out, rep); err != nil {
+			fatalf("writing %s: %v", s.out, err)
 		}
 		if prevErr == nil {
-			for _, line := range rep.HostMismatch(prev) {
-				fmt.Fprintf(os.Stderr, "ccbench: warning: host mismatch vs previous %s: %s\n", *jsonOut, line)
+			for _, line := range rep.Host().Mismatch(prev) {
+				fmt.Fprintf(os.Stderr, "ccbench: warning: host mismatch vs previous %s: %s\n", s.out, line)
 			}
 		}
-		fmt.Print(rep.Render())
-		fmt.Printf("(regression suite completed in %v, wrote %s)\n",
-			time.Since(start).Round(time.Millisecond), *jsonOut)
+		fmt.Print(rep.Table().Render())
+		fmt.Printf("(%s completed in %v, wrote %s)\n",
+			s.name, time.Since(start).Round(time.Millisecond), s.out)
+	}
+	if ranSuite {
 		return
 	}
 
@@ -266,6 +210,11 @@ func main() {
 			fmt.Fprintf(csv, "# %s\n%s\n", id, t.CSV())
 		}
 	}
+}
+
+// report adapts a suite runner to return the shared Report interface.
+func report[R harness.Report](run func(harness.RunConfig) (R, error)) func(harness.RunConfig) (harness.Report, error) {
+	return func(cfg harness.RunConfig) (harness.Report, error) { return run(cfg) }
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -64,7 +64,7 @@ func TestThriftyccAllAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	for _, a := range []string{"thrifty", "dolp", "afforest", "jt", "bfs", "fastsv", "connectit-kout"} {
+	for _, a := range []string{"thrifty", "dolp", "afforest", "jt", "bfs", "connectit-kout"} {
 		if !strings.Contains(out, a) {
 			t.Fatalf("algorithm %s missing from output:\n%s", a, out)
 		}
@@ -157,6 +157,56 @@ func TestCcbenchCSVOutput(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "Dataset,") {
 		t.Fatalf("CSV header missing:\n%s", data)
+	}
+}
+
+// TestCcbenchSuiteFiles runs three perf suites in one invocation and checks
+// each file's schema; a second run over the same files (same host) must not
+// warn about a host mismatch, a run at another thread count must, and an
+// unknown -scale is rejected.
+func TestCcbenchSuiteFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"-ingest-json": "thriftylp/bench-ingest/v1",
+		"-serve-json":  "thriftylp/bench-serve/v2",
+		"-shard-json":  "thriftylp/bench-shard/v1",
+	}
+	args := []string{"-scale", "small", "-reps", "1"}
+	for flag := range files {
+		args = append(args, flag, filepath.Join(dir, flag[1:]))
+	}
+	for i := 0; i < 2; i++ {
+		out, err := run(t, "ccbench", args...)
+		if err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, out)
+		}
+		if strings.Contains(out, "host mismatch") {
+			t.Fatalf("run %d: host-mismatch warning against a same-host file:\n%s", i, out)
+		}
+	}
+	for flag, schema := range files {
+		data, err := os.ReadFile(filepath.Join(dir, flag[1:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), `"schema": "`+schema+`"`) {
+			t.Errorf("%s file lacks schema %q:\n%.200s", flag, schema, data)
+		}
+	}
+	out, err := run(t, "ccbench", "-ingest-json", filepath.Join(dir, "ingest-json"),
+		"-scale", "small", "-reps", "1", "-threads", "1")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if !strings.Contains(out, "host mismatch") || !strings.Contains(out, "threads changed: 0 -> 1") {
+		t.Errorf("no host-mismatch warning after a thread-count change:\n%s", out)
+	}
+	out, err = run(t, "ccbench", "-exp", "table1", "-scale", "bogus", "-reps", "1")
+	if err == nil {
+		t.Fatalf("-scale bogus accepted:\n%s", out)
+	}
+	if !strings.Contains(out, "small, medium, large") {
+		t.Errorf("-scale diagnostic does not list the valid scales:\n%s", out)
 	}
 }
 

@@ -21,7 +21,6 @@ func TestArenaReuseKeepsResultsCorrect(t *testing.T) {
 		"afforest":      func(cfg Config) Result { return Afforest(g, cfg) },
 		"jt":            func(cfg Config) Result { return JayantiTarjan(g, cfg) },
 		"bfs":           func(cfg Config) Result { return BFSCC(g, cfg) },
-		"fastsv":        func(cfg Config) Result { return FastSV(g, cfg) },
 		"connectit-bfs": func(cfg Config) Result { return ConnectItBFS(g, cfg) },
 	}
 	for name, run := range algos {

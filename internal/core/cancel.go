@@ -27,8 +27,8 @@ func (s *Stop) Requested() bool { return s != nil && atomicx.LoadUint32(&s.f) !=
 // kernels reuse the counters.IterKind strings ("initial-push", "pull",
 // "push", "pull-frontier").
 const (
-	PhaseHook     = "hook"      // SV/FastSV hooking pass
-	PhaseShortcut = "shortcut"  // SV/FastSV pointer-jumping pass
+	PhaseHook     = "hook"      // SV hooking pass
+	PhaseShortcut = "shortcut"  // SV pointer-jumping pass
 	PhaseSample   = "sample"    // Afforest/ConnectIt sampling rounds
 	PhaseFinish   = "finish"    // Afforest/ConnectIt finish pass
 	PhaseBFS      = "bfs"       // BFS-CC / ConnectIt-BFS level loop

@@ -2,7 +2,7 @@
 // Propagation (Algorithm 2) — together with every baseline it is evaluated
 // against: textbook synchronous Label Propagation, Direction-Optimizing
 // Label Propagation (Algorithm 1), the DO-LP + Unified-Labels ablation
-// variant, Shiloach-Vishkin, Afforest, Jayanti-Tarjan, BFS-CC, and FastSV.
+// variant, Shiloach-Vishkin, Afforest, Jayanti-Tarjan and BFS-CC.
 // The four label-propagation algorithms are configurations of one engine
 // (engine.go), which also computes BFS hop distances under a second update
 // rule.

@@ -47,7 +47,6 @@ var algorithmsUnderTest = []algoCase{
 	{name: "afforest", run: Afforest},
 	{name: "jt", run: JayantiTarjan},
 	{name: "bfs", run: BFSCC},
-	{name: "fastsv", run: FastSV},
 	{name: "connectit-kout", run: ConnectItKOut},
 	{name: "connectit-bfs", run: ConnectItBFS},
 }

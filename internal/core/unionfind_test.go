@@ -102,23 +102,6 @@ func TestSVTerminatesOnPathologicalShapes(t *testing.T) {
 	}
 }
 
-// TestFastSVLogarithmicPasses: FastSV's grandparent hooking converges in
-// O(log n) passes even on a maximum-diameter input. (Plain SV can finish in
-// fewer passes here purely through the sequential in-order hook sweep — a
-// Gauss-Seidel effect — so the two counts are not directly comparable on
-// one core; the logarithmic bound is the meaningful invariant.)
-func TestFastSVLogarithmicPasses(t *testing.T) {
-	g := mustGraph(gen.Path(5000))
-	sv := ShiloachVishkin(g, Config{})
-	fsv := FastSV(g, Config{})
-	if fsv.Iterations > 40 { // ~3·log2(5000)
-		t.Fatalf("FastSV needed %d passes on a 5000-path", fsv.Iterations)
-	}
-	if !Equivalent(sv.Labels, fsv.Labels) {
-		t.Fatal("partitions differ")
-	}
-}
-
 // TestConnectItBFSSamplingClaimsGiant: after the BFS sampling phase the
 // finish loop must skip nearly everything on a one-component graph —
 // total edge traversals stay near one full scan (the BFS itself).

@@ -3,7 +3,6 @@ package harness
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"thriftylp/graph"
-	"thriftylp/graph/gen"
 )
 
 // This file is the ingestion-regression harness: the same deterministic
@@ -62,27 +60,11 @@ type IngestReport struct {
 	Records []IngestRecord `json:"records"`
 }
 
-// HostMismatch compares the report's host stamp against a previous report;
-// see HostStamp.Mismatch.
-func (r IngestReport) HostMismatch(prev IngestReport) []string {
-	return r.HostStamp.Mismatch(prev.HostStamp)
-}
-
-// IngestFixtures returns the datasets the ingestion gate runs on: the
-// kernel-gate regression fixtures at the default scale, and two smaller
-// seed-deterministic analogs for test runs.
+// IngestFixtures returns the datasets the ingestion gate runs on: the RMAT
+// and web analogs of suiteFixtures at the given scale.
 func IngestFixtures(scale Scale) []RegressionFixture {
-	if scale == ScaleSmall {
-		return []RegressionFixture{
-			{"rmat-small", func() (*graph.Graph, error) {
-				return gen.RMATCompact(gen.DefaultRMAT(14, 8, 42))
-			}},
-			{"weblike-small", func() (*graph.Graph, error) {
-				return gen.Web(gen.DefaultWeb(13, 42))
-			}},
-		}
-	}
-	return RegressionFixtures()
+	rmat, web, _ := suiteFixtures(scale)
+	return []RegressionFixture{rmat, web}
 }
 
 // ingestResult is one rep's phase timing plus what was loaded. The baseline
@@ -436,43 +418,21 @@ func writeEdgeListFile(path string, g *graph.Graph) error {
 	return f.Close()
 }
 
-// ReadIngestReport loads a previously written BENCH_ingest.json file.
-func ReadIngestReport(path string) (IngestReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return IngestReport{}, err
+// Table renders the report for the console.
+func (r IngestReport) Table() *Table {
+	t := &Table{
+		ID:      "ingest",
+		Title:   "Ingestion regression (min of reps, baseline = frozen sequential path)",
+		Columns: []string{"dataset", "format", "pipeline", "load ms", "build ms", "MB/s", "speedup", "reps"},
 	}
-	var rep IngestReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return IngestReport{}, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// WriteJSON serializes the report to path, indented for reviewable diffs.
-func (r IngestReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the report as an aligned console table.
-func (r IngestReport) Render() string {
-	out := "Ingestion regression (min-of-reps, baseline = frozen sequential path)\n"
-	out += fmt.Sprintf("%-16s %-12s %-9s %10s %10s %10s %8s\n",
-		"dataset", "format", "pipeline", "load ms", "build ms", "MB/s", "speedup")
 	for _, rec := range r.Records {
 		speedup := ""
 		if rec.Speedup > 0 {
-			speedup = fmt.Sprintf("%7.2fx", rec.Speedup)
+			speedup = fmt.Sprintf("%.2fx", rec.Speedup)
 		}
-		out += fmt.Sprintf("%-16s %-12s %-9s %10.3f %10.3f %10.1f %8s\n",
-			rec.Dataset, rec.Format, rec.Pipeline,
-			float64(rec.LoadNs)/float64(time.Millisecond),
-			float64(rec.BuildNs)/float64(time.Millisecond),
-			rec.MBPerSec, speedup)
+		t.AddRow(rec.Dataset, rec.Format, rec.Pipeline,
+			Millis(time.Duration(rec.LoadNs)), Millis(time.Duration(rec.BuildNs)),
+			rec.MBPerSec, speedup, rec.Reps)
 	}
-	return out
+	return t
 }

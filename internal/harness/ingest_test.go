@@ -56,23 +56,24 @@ func TestIngestRegressionSmall(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_ingest.json")
-	if err := rep.WriteJSON(path); err != nil {
+	if err := WriteReport(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadIngestReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readReport[IngestReport](t, path)
 	if back.Schema != rep.Schema || len(back.Records) != len(rep.Records) {
 		t.Fatalf("JSON round trip changed the report: %+v", back)
 	}
 	if back.Records[1] != rep.Records[1] {
 		t.Errorf("record drifted through JSON: %+v vs %+v", back.Records[1], rep.Records[1])
 	}
-	if ms := back.HostMismatch(rep); len(ms) != 0 {
+	stamp, err := ReadHostStamp(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := stamp.Mismatch(rep.HostStamp); len(ms) != 0 {
 		t.Errorf("self host-mismatch: %v", ms)
 	}
-	if rep.Render() == "" {
+	if rep.Table().Render() == "" {
 		t.Error("empty render")
 	}
 }

@@ -1,15 +1,11 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"thriftylp/cc"
 	"thriftylp/graph"
-	"thriftylp/graph/gen"
 )
 
 // This file is the machine-readable perf-regression harness: the same two
@@ -18,25 +14,13 @@ import (
 // as JSON so the throughput trajectory can be tracked across commits
 // (`make bench-json` writes BENCH_thrifty.json).
 
-// RegressionFixture is one deterministic graph of the perf-regression suite.
-type RegressionFixture struct {
-	Name  string
-	Build func() (*graph.Graph, error)
-}
-
-// RegressionFixtures returns the perf-gate fixtures: a pure RMAT social
-// analog (pull-heavy, few iterations) and a web-crawl analog (skewed core
-// plus pendant chains, the push-heavy many-iteration regime). Both are
-// seed-deterministic so numbers are comparable across runs and commits.
+// RegressionFixtures returns the perf-gate fixtures: the medium RMAT social
+// analog and web-crawl analog of suiteFixtures, the same two the
+// BenchmarkThrifty gate runs on, so numbers are comparable across runs and
+// commits.
 func RegressionFixtures() []RegressionFixture {
-	return []RegressionFixture{
-		{"rmat-medium", func() (*graph.Graph, error) {
-			return gen.RMATCompact(gen.DefaultRMAT(17, 16, 42))
-		}},
-		{"weblike-medium", func() (*graph.Graph, error) {
-			return gen.Web(gen.DefaultWeb(16, 42))
-		}},
-	}
+	rmat, web, _ := suiteFixtures(ScaleMedium)
+	return []RegressionFixture{rmat, web}
 }
 
 // regressionAlgos are the traversal kernels sharing the instrumentation-
@@ -74,62 +58,6 @@ type BenchRecord struct {
 	PhaseNs        map[string]int64 `json:"phase_ns,omitempty"`
 }
 
-// HostStamp identifies the machine and toolchain a benchmark report was
-// produced on: absolute throughput is machine-dependent, so reports are
-// primarily read as same-machine trajectories and Mismatch flags comparisons
-// across differing hosts. It embeds flat into report structs, so the JSON
-// layout is unchanged from the pre-extraction format.
-type HostStamp struct {
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	Threads    int    `json:"threads"` // 0 = GOMAXPROCS pool
-}
-
-// currentHostStamp stamps the running process's host and the configured
-// worker-thread count.
-func currentHostStamp(threads int) HostStamp {
-	return HostStamp{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Threads:    threads,
-	}
-}
-
-// Mismatch compares two host stamps and returns a human-readable line per
-// differing field (empty when comparable). A perf delta measured across any
-// mismatch is not a code regression signal.
-func (h HostStamp) Mismatch(prev HostStamp) []string {
-	var out []string
-	diff := func(field string, old, new any) {
-		out = append(out, fmt.Sprintf("%s changed: %v -> %v", field, old, new))
-	}
-	if prev.GoMaxProcs != h.GoMaxProcs {
-		diff("gomaxprocs", prev.GoMaxProcs, h.GoMaxProcs)
-	}
-	if prev.NumCPU != h.NumCPU {
-		diff("numcpu", prev.NumCPU, h.NumCPU)
-	}
-	if prev.GoVersion != h.GoVersion {
-		diff("go version", prev.GoVersion, h.GoVersion)
-	}
-	if prev.GOOS != h.GOOS {
-		diff("goos", prev.GOOS, h.GOOS)
-	}
-	if prev.GOARCH != h.GOARCH {
-		diff("goarch", prev.GOARCH, h.GOARCH)
-	}
-	if prev.Threads != h.Threads {
-		diff("threads", prev.Threads, h.Threads)
-	}
-	return out
-}
-
 // BenchReport is the full regression run, as serialized to
 // BENCH_thrifty.json.
 type BenchReport struct {
@@ -137,26 +65,6 @@ type BenchReport struct {
 	Schema string `json:"schema"`
 	HostStamp
 	Records []BenchRecord `json:"records"`
-}
-
-// HostMismatch compares the report's host stamp against a previous report;
-// see HostStamp.Mismatch.
-func (r BenchReport) HostMismatch(prev BenchReport) []string {
-	return r.HostStamp.Mismatch(prev.HostStamp)
-}
-
-// ReadBenchReport loads a previously written BENCH JSON file. Reports written
-// before the schema stamp existed load with Schema == "".
-func ReadBenchReport(path string) (BenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return BenchReport{}, err
-	}
-	var rep BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return BenchReport{}, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return rep, nil
 }
 
 // BenchRegression times every label-propagation algorithm, uninstrumented,
@@ -232,37 +140,20 @@ func traceCell(a cc.Algorithm, g *graph.Graph, dataset string, cfg RunConfig) er
 	return cfg.Trace.WriteRun(string(a), dataset, 0, inst.Iterations)
 }
 
-// WriteJSON serializes the report to path, indented for reviewable diffs.
-func (r BenchReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+// Table renders the report for the console.
+func (r BenchReport) Table() *Table {
+	t := &Table{
+		ID:      "bench",
+		Title:   "Perf regression (uninstrumented fast path, min of reps)",
+		Columns: []string{"algorithm", "dataset", "ms/run", "Medges/s", "iters", "edges", "reps"},
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the report as an aligned console table.
-func (r BenchReport) Render() string {
-	out := fmt.Sprintf("Perf regression (uninstrumented fast path, min of %s reps)\n",
-		pluralReps(r.Records))
-	out += fmt.Sprintf("%-14s %-16s %10s %12s %6s %12s\n",
-		"algorithm", "dataset", "ms/run", "Medges/s", "iters", "edges")
 	for _, rec := range r.Records {
 		algo := rec.Algorithm
 		if rec.Selected != "" {
 			algo += ":" + rec.Selected
 		}
-		out += fmt.Sprintf("%-14s %-16s %10.3f %12.1f %6d %12d\n",
-			algo, rec.Dataset,
-			float64(rec.NsPerRun)/float64(time.Millisecond),
-			rec.EdgesPerSec/1e6, rec.Iterations, rec.Edges)
+		t.AddRow(algo, rec.Dataset, Millis(time.Duration(rec.NsPerRun)),
+			rec.EdgesPerSec/1e6, rec.Iterations, rec.Edges, rec.Reps)
 	}
-	return out
-}
-
-func pluralReps(recs []BenchRecord) string {
-	if len(recs) == 0 {
-		return "?"
-	}
-	return fmt.Sprintf("%d", recs[0].Reps)
+	return t
 }

@@ -16,14 +16,14 @@ func TestHostMismatch(t *testing.T) {
 		HostStamp: HostStamp{GoMaxProcs: 8, NumCPU: 8,
 			GoVersion: runtime.Version(), GOOS: "linux", GOARCH: "amd64", Threads: 0},
 	}
-	if lines := base.HostMismatch(base); len(lines) != 0 {
+	if lines := base.Mismatch(base.HostStamp); len(lines) != 0 {
 		t.Errorf("identical hosts flagged: %v", lines)
 	}
 
 	other := base
 	other.GoMaxProcs = 4
 	other.GoVersion = "go1.0"
-	lines := base.HostMismatch(other)
+	lines := base.Mismatch(other.HostStamp)
 	if len(lines) != 2 {
 		t.Fatalf("got %d mismatch lines %v, want 2", len(lines), lines)
 	}
@@ -48,13 +48,10 @@ func TestBenchReportJSONRoundTrip(t *testing.T) {
 			PhaseNs: map[string]int64{"pull": 700, "push": 300},
 		}},
 	}
-	if err := rep.WriteJSON(path); err != nil {
+	if err := WriteReport(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBenchReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readReport[BenchReport](t, path)
 	if got.Schema != BenchSchema || got.NumCPU != 4 || len(got.Records) != 1 {
 		t.Errorf("round trip lost header fields: %+v", got)
 	}
@@ -62,7 +59,10 @@ func TestBenchReportJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip lost record fields: %+v", got.Records[0])
 	}
 
-	if _, err := ReadBenchReport(filepath.Join(t.TempDir(), "absent.json")); err == nil {
+	if h, err := ReadHostStamp(path); err != nil || h != rep.HostStamp {
+		t.Errorf("ReadHostStamp = %+v, %v; want %+v", h, err, rep.HostStamp)
+	}
+	if _, err := ReadHostStamp(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Errorf("reading absent report succeeded")
 	}
 }

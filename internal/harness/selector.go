@@ -64,10 +64,8 @@ func SelectorFixtures() []SelectorFixture {
 
 // SelectorCandidates are the concrete algorithms the decision policy
 // chooses among; the matrix times each so "best" is measured per input.
-// FastSV is included precisely because the policy never picks it — the
-// matrix documents by measurement that this is right.
 func SelectorCandidates() []cc.Algorithm {
-	return []cc.Algorithm{cc.AlgoThrifty, cc.AlgoAfforest, cc.AlgoBFSCC, cc.AlgoFastSV}
+	return []cc.Algorithm{cc.AlgoThrifty, cc.AlgoAfforest, cc.AlgoBFSCC}
 }
 
 // SelectorCell is one family's measurement: what auto chose and cost,

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -79,45 +78,8 @@ type ServeReport struct {
 	Records []ServeRecord `json:"records"`
 }
 
-// HostMismatch compares the report's host stamp against a previous report.
-func (r ServeReport) HostMismatch(prev ServeReport) []string {
-	return r.HostStamp.Mismatch(prev.HostStamp)
-}
-
-// WriteJSON serializes the report to path, indented for reviewable diffs.
-func (r ServeReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadServeReport loads a previously written BENCH_serve.json.
-func ReadServeReport(path string) (ServeReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ServeReport{}, err
-	}
-	var rep ServeReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return ServeReport{}, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return rep, nil
-}
-
 // serveEndpoints are the query mixes driven, one record each.
 var serveEndpoints = []string{"component", "same", "size", "census"}
-
-// serveFixture returns the graph the load test serves: the kernel gate's
-// rmat fixture at the given scale (small for tests/CI smoke, medium for the
-// checked-in baseline).
-func serveFixture(scale Scale) RegressionFixture {
-	if scale == ScaleSmall {
-		return IngestFixtures(ScaleSmall)[0] // rmat-small
-	}
-	return RegressionFixtures()[0] // rmat-medium
-}
 
 // ServeRegression materializes the fixture graph as a binary CSR, serves it
 // through a real internal/serve server on a loopback listener, and drives
@@ -131,7 +93,9 @@ func ServeRegression(cfg RunConfig) (ServeReport, error) {
 		Schema:    ServeSchema,
 		HostStamp: currentHostStamp(cfg.Threads),
 	}
-	fix := serveFixture(cfg.scale())
+	// The load test serves the RMAT fixture: small for tests and CI smoke,
+	// medium for the checked-in baseline.
+	fix, _, _ := suiteFixtures(cfg.scale())
 	rep.Dataset = fix.Name
 
 	g, err := fix.Build()
@@ -300,19 +264,18 @@ func ServeRegression(cfg RunConfig) (ServeReport, error) {
 	return rep, nil
 }
 
-// Render formats the report as an aligned console table.
-func (r ServeReport) Render() string {
-	out := fmt.Sprintf("Serving load test (%s: %d vertices, %d edges; %d clients × %d rounds; load %.1f ms)\n",
-		r.Dataset, r.Vertices, r.Edges, r.Clients, r.RequestsPerClient,
-		float64(r.LoadNs)/1e6)
-	out += fmt.Sprintf("%-10s %10s %10s %10s %10s %10s %10s %7s %7s\n",
-		"endpoint", "qps", "p50 µs", "p99 µs", "max µs", "srv p50", "srv p99", "shed", "errors")
-	for _, rec := range r.Records {
-		out += fmt.Sprintf("%-10s %10.0f %10.1f %10.1f %10.1f %10.1f %10.1f %7d %7d\n",
-			rec.Endpoint, rec.QPS,
-			float64(rec.P50Ns)/1e3, float64(rec.P99Ns)/1e3, float64(rec.MaxNs)/1e3,
-			float64(rec.ServerP50Ns)/1e3, float64(rec.ServerP99Ns)/1e3,
-			rec.Shed, rec.Errors)
+// Table renders the report for the console.
+func (r ServeReport) Table() *Table {
+	t := &Table{
+		ID: "serve",
+		Title: fmt.Sprintf("Serving load test (%s: %d vertices, %d edges; %d clients × %d rounds; load %.1f ms)",
+			r.Dataset, r.Vertices, r.Edges, r.Clients, r.RequestsPerClient, Millis(time.Duration(r.LoadNs))),
+		Columns: []string{"endpoint", "qps", "p50 µs", "p99 µs", "max µs", "srv p50 µs", "srv p99 µs", "shed", "errors"},
 	}
-	return out
+	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+	for _, rec := range r.Records {
+		t.AddRow(rec.Endpoint, rec.QPS, us(rec.P50Ns), us(rec.P99Ns), us(rec.MaxNs),
+			us(rec.ServerP50Ns), us(rec.ServerP99Ns), rec.Shed, rec.Errors)
+	}
+	return t
 }

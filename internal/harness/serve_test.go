@@ -54,20 +54,21 @@ func TestServeRegressionSmall(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := rep.WriteJSON(path); err != nil {
+	if err := WriteReport(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadServeReport(path)
+	stamp, err := ReadHostStamp(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.HostMismatch(rep)) != 0 {
-		t.Errorf("host stamp did not round-trip: %v", back.HostMismatch(rep))
+	if len(stamp.Mismatch(rep.HostStamp)) != 0 {
+		t.Errorf("host stamp did not round-trip: %v", stamp.Mismatch(rep.HostStamp))
 	}
+	back := readReport[ServeReport](t, path)
 	if len(back.Records) != len(rep.Records) || back.Records[0] != rep.Records[0] {
 		t.Error("records did not round-trip")
 	}
-	if rep.Render() == "" {
+	if rep.Table().Render() == "" {
 		t.Error("empty render")
 	}
 }

@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
 	"thriftylp/cc"
-	"thriftylp/graph"
 	"thriftylp/graph/gen"
 	"thriftylp/internal/shard"
 )
@@ -89,33 +87,15 @@ type ShardReport struct {
 	Stream *StreamRecord `json:"stream,omitempty"`
 }
 
-// HostMismatch compares the report's host stamp against a previous report;
-// see HostStamp.Mismatch.
-func (r ShardReport) HostMismatch(prev ShardReport) []string {
-	return r.HostStamp.Mismatch(prev.HostStamp)
-}
-
 // shardBenchCounts are the shard counts every fixture is measured at.
 var shardBenchCounts = []int{2, 4, 8}
 
-// ShardFixtures returns the sharded-gate datasets: the kernel-gate fixtures
-// (both skewed — RMAT social analog and web-crawl analog) plus a pure star,
-// the degenerate hub-dominated case where suppression does maximal work.
+// ShardFixtures returns the sharded-gate datasets: the three fixtures of
+// suiteFixtures at the given scale — both skewed analogs, plus the pure star
+// where suppression does maximal work.
 func ShardFixtures(scale Scale) []RegressionFixture {
-	if scale == ScaleSmall {
-		return []RegressionFixture{
-			{"rmat-small", func() (*graph.Graph, error) {
-				return gen.RMATCompact(gen.DefaultRMAT(14, 8, 42))
-			}},
-			{"star-small", func() (*graph.Graph, error) {
-				return gen.Star(1 << 14)
-			}},
-		}
-	}
-	return append(RegressionFixtures(),
-		RegressionFixture{"star-large", func() (*graph.Graph, error) {
-			return gen.Star(1 << 20)
-		}})
+	rmat, web, star := suiteFixtures(scale)
+	return []RegressionFixture{rmat, web, star}
 }
 
 // ShardRegression measures the sharded pipeline on every fixture at every
@@ -241,49 +221,22 @@ func streamAccounting(scale Scale) (*StreamRecord, error) {
 	return rec, nil
 }
 
-// ReadShardReport loads a previously written BENCH_shard.json file.
-func ReadShardReport(path string) (ShardReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ShardReport{}, err
+// Table renders the report for the console, with the streamed
+// generator's accounting as a note.
+func (r ShardReport) Table() *Table {
+	t := &Table{
+		ID:      "shard",
+		Title:   "Sharded exchange regression (min of reps)",
+		Columns: []string{"dataset", "shards", "rounds", "exchanged B", "naive B", "ratio", "suppr", "overhead", "reps"},
 	}
-	var rep ShardReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return ShardReport{}, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// WriteJSON serializes the report to path, indented for reviewable diffs.
-func (r ShardReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the report as an aligned console table.
-func (r ShardReport) Render() string {
-	out := fmt.Sprintf("Sharded exchange regression (min of %d reps)\n", r.repsOrDefault())
-	out += fmt.Sprintf("%-16s %6s %6s %12s %12s %8s %10s %8s\n",
-		"dataset", "shards", "rounds", "exchanged B", "naive B", "ratio", "suppr", "overhead")
 	for _, rec := range r.Records {
-		out += fmt.Sprintf("%-16s %6d %6d %12d %12d %8.2f %10d %8.2f\n",
-			rec.Dataset, rec.Shards, rec.Rounds,
-			rec.ExchangedBytes, rec.NaiveBytes, rec.CompactionRatio,
-			rec.Suppressed, rec.Overhead)
+		t.AddRow(rec.Dataset, rec.Shards, rec.Rounds, rec.ExchangedBytes, rec.NaiveBytes,
+			rec.CompactionRatio, rec.Suppressed, rec.Overhead, rec.Reps)
 	}
 	if s := r.Stream; s != nil {
-		out += fmt.Sprintf("streamed gen: scale=%d ef=%d shards=%d peak %d B vs edge-list %d B (%.1fx under)\n",
-			s.Scale, s.EdgeFactor, s.Shards, s.PeakBytes, s.EdgeListBytes, s.Ratio)
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"streamed gen: scale=%d ef=%d shards=%d peak %d B vs edge-list %d B (%.1fx under)",
+			s.Scale, s.EdgeFactor, s.Shards, s.PeakBytes, s.EdgeListBytes, s.Ratio))
 	}
-	return out
-}
-
-func (r ShardReport) repsOrDefault() int {
-	if len(r.Records) == 0 {
-		return 0
-	}
-	return r.Records[0].Reps
+	return t
 }

@@ -62,13 +62,10 @@ func TestShardRegressionSmall(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_shard.json")
-	if err := rep.WriteJSON(path); err != nil {
+	if err := WriteReport(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadShardReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readReport[ShardReport](t, path)
 	if back.Schema != rep.Schema || len(back.Records) != len(rep.Records) {
 		t.Fatalf("JSON round trip changed the report: %+v", back)
 	}
@@ -79,10 +76,14 @@ func TestShardRegressionSmall(t *testing.T) {
 	if back.Stream == nil || *back.Stream != *rep.Stream {
 		t.Errorf("stream record drifted through JSON")
 	}
-	if ms := back.HostMismatch(rep); len(ms) != 0 {
+	stamp, err := ReadHostStamp(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := stamp.Mismatch(rep.HostStamp); len(ms) != 0 {
 		t.Errorf("self host-mismatch: %v", ms)
 	}
-	if rep.Render() == "" {
+	if rep.Table().Render() == "" {
 		t.Error("empty render")
 	}
 }

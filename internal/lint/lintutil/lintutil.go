@@ -1,6 +1,7 @@
 // Package lintutil holds the small helpers shared by the thriftyvet
-// analyzers: scope gating (skip GOROOT and test files) and call-site
-// resolution on top of go/types.
+// analyzers: scope gating (skip GOROOT and test files), call-site and
+// identifier resolution on top of go/types, and the call-termination
+// oracle the dataflow analyzers build their CFGs with.
 package lintutil
 
 import (
@@ -84,4 +85,29 @@ func FuncPkgPath(f *types.Func) string {
 		return ""
 	}
 	return f.Pkg().Path()
+}
+
+// MayReturn is the cfg.New call-termination oracle of the dataflow
+// analyzers: calls to os.Exit, runtime.Goexit and log.Fatal* never return
+// to their caller; every other call may.
+func MayReturn(info *types.Info) func(*ast.CallExpr) bool {
+	return func(call *ast.CallExpr) bool {
+		fn := CalleeFunc(info, call)
+		if fn == nil {
+			return true
+		}
+		switch FuncPkgPath(fn) + "." + fn.Name() {
+		case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
+			return false
+		}
+		return true
+	}
+}
+
+// ObjOf returns the object an identifier uses, or else the one it defines.
+func ObjOf(info *types.Info, id *ast.Ident) types.Object {
+	if o := info.Uses[id]; o != nil {
+		return o
+	}
+	return info.Defs[id]
 }

@@ -266,22 +266,10 @@ func (c *checker) checkBody(body *ast.BlockStmt) {
 	if len(vars) == 0 {
 		return
 	}
-	graph := cfg.New(body, c.mayReturn)
+	graph := cfg.New(body, lintutil.MayReturn(c.pass.TypesInfo))
 	for _, tv := range vars {
 		c.analyzeVar(graph, tv)
 	}
-}
-
-func (c *checker) mayReturn(call *ast.CallExpr) bool {
-	fn := lintutil.CalleeFunc(c.pass.TypesInfo, call)
-	if fn == nil {
-		return true
-	}
-	switch lintutil.FuncPkgPath(fn) + "." + fn.Name() {
-	case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-		return false
-	}
-	return true
 }
 
 // collectVars finds the body's mapped-pointer variables and their derived
@@ -383,31 +371,19 @@ func (c *checker) analyzeVar(graph *cfg.CFG, tv *tracked) {
 		open   = 1 << 0
 		closed = 1 << 1
 	)
-	in := map[*cfg.Block]uint8{}
-	in[graph.Entry] = open
-	work := []*cfg.Block{graph.Entry}
-	inWork := map[*cfg.Block]bool{graph.Entry: true}
 	reported := map[token.Pos]bool{}
-
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		inWork[blk] = false
-
-		state := in[blk]
-		for _, n := range blk.Nodes {
-			state = c.applyNode(n, state, tv, reported, open, closed)
-		}
-		for _, succ := range blk.Succs {
-			if in[succ]|state != in[succ] {
-				in[succ] |= state
-				if !inWork[succ] {
-					work = append(work, succ)
-					inWork[succ] = true
-				}
+	cfg.Forward(graph, uint8(open),
+		func(blk *cfg.Block, state uint8) []uint8 {
+			for _, n := range blk.Nodes {
+				state = c.applyNode(n, state, tv, reported, open, closed)
 			}
-		}
-	}
+			outs := make([]uint8, len(blk.Succs))
+			for i := range outs {
+				outs[i] = state
+			}
+			return outs
+		},
+		func(old, out uint8) (uint8, bool) { return old | out, old|out != old })
 }
 
 // applyNode reports closed-state uses inside n and returns the out-state.
@@ -445,7 +421,7 @@ func (c *checker) applyNode(n ast.Node, state uint8, tv *tracked, reported map[t
 					continue
 				}
 				lhsWrite[id] = true
-				if c.objOf(id) == tv.obj {
+				if lintutil.ObjOf(c.pass.TypesInfo, id) == tv.obj {
 					state = open
 				}
 			}
@@ -457,7 +433,7 @@ func (c *checker) applyNode(n ast.Node, state uint8, tv *tracked, reported map[t
 				}
 			}
 		case *ast.Ident:
-			obj := c.objOf(m)
+			obj := lintutil.ObjOf(c.pass.TypesInfo, m)
 			if obj == nil {
 				return true
 			}
@@ -488,7 +464,7 @@ func (c *checker) isCloseCall(call *ast.CallExpr, tv *tracked) bool {
 		return false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && c.objOf(id) == tv.obj
+	return ok && lintutil.ObjOf(c.pass.TypesInfo, id) == tv.obj
 }
 
 // isHeaderCall reports whether call is v.M() for a header-only method.
@@ -498,25 +474,18 @@ func (c *checker) isHeaderCall(call *ast.CallExpr, tv *tracked) bool {
 		return false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && c.objOf(id) == tv.obj
+	return ok && lintutil.ObjOf(c.pass.TypesInfo, id) == tv.obj
 }
 
 // isVarVsNil reports whether e compares the tracked variable against nil.
 func (c *checker) isVarVsNil(e *ast.BinaryExpr, tv *tracked) bool {
 	isV := func(x ast.Expr) bool {
 		id, ok := ast.Unparen(x).(*ast.Ident)
-		return ok && c.objOf(id) == tv.obj
+		return ok && lintutil.ObjOf(c.pass.TypesInfo, id) == tv.obj
 	}
 	isNil := func(x ast.Expr) bool {
 		id, ok := ast.Unparen(x).(*ast.Ident)
 		return ok && id.Name == "nil"
 	}
 	return (isV(e.X) && isNil(e.Y)) || (isNil(e.X) && isV(e.Y))
-}
-
-func (c *checker) objOf(id *ast.Ident) types.Object {
-	if o := c.pass.TypesInfo.Uses[id]; o != nil {
-		return o
-	}
-	return c.pass.TypesInfo.Defs[id]
 }

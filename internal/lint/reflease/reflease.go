@@ -246,7 +246,7 @@ type site struct {
 // the declared function, nil for literals; it receives an AcquiresFact
 // when the body returns an acquired reference.
 func (c *checker) checkBody(enclosing *types.Func, body *ast.BlockStmt) {
-	graph := cfg.New(body, c.mayReturn)
+	graph := cfg.New(body, lintutil.MayReturn(c.pass.TypesInfo))
 	parents := buildParents(body)
 	sites := c.findSites(graph)
 	if len(sites) == 0 {
@@ -255,19 +255,6 @@ func (c *checker) checkBody(enclosing *types.Func, body *ast.BlockStmt) {
 	for _, s := range sites {
 		c.analyzeSite(enclosing, graph, parents, s)
 	}
-}
-
-// mayReturn is the CFG builder's call-termination oracle.
-func (c *checker) mayReturn(call *ast.CallExpr) bool {
-	fn := lintutil.CalleeFunc(c.pass.TypesInfo, call)
-	if fn == nil {
-		return true
-	}
-	switch lintutil.FuncPkgPath(fn) + "." + fn.Name() {
-	case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-		return false
-	}
-	return true
 }
 
 // buildParents maps every node in the body to its syntactic parent.
@@ -383,34 +370,11 @@ func (c *checker) findSites(graph *cfg.CFG) []*site {
 func (c *checker) analyzeSite(enclosing *types.Func, graph *cfg.CFG, parents map[ast.Node]ast.Node, s *site) {
 	rep := &reporter{pass: c.pass, emitted: map[string]bool{}}
 
-	in := map[*cfg.Block]tupleSet{}
-	in[graph.Entry] = tupleSet{tuple{nilness: nilMaybe}: true}
-	work := []*cfg.Block{graph.Entry}
-	inWork := map[*cfg.Block]bool{graph.Entry: true}
-	// visited is kept apart from in: a branch refined to the empty set
-	// (an infeasible nil test) has an empty state, and treating "empty" as
-	// "never reached" would re-queue a loop inside it forever.
-	visited := map[*cfg.Block]bool{graph.Entry: true}
 	returned := false
-
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		inWork[blk] = false
-
-		outs := c.transfer(blk, in[blk], parents, s, rep, &returned)
-		for i, succ := range blk.Succs {
-			merged, changed := union(in[succ], outs[i])
-			if changed || !visited[succ] {
-				visited[succ] = true
-				in[succ] = merged
-				if !inWork[succ] {
-					work = append(work, succ)
-					inWork[succ] = true
-				}
-			}
-		}
-	}
+	in := cfg.Forward(graph, tupleSet{tuple{nilness: nilMaybe}: true},
+		func(blk *cfg.Block, in tupleSet) []tupleSet {
+			return c.transfer(blk, in, parents, s, rep, &returned)
+		}, union)
 
 	// Leak check at the one place every return and fall-off path meets.
 	for t := range in[graph.Exit] {
@@ -496,7 +460,7 @@ func (c *checker) refine(cond ast.Node, cur tupleSet, s *site) (outT, outF tuple
 			return nil, nil, false
 		}
 		id, isIdent := ast.Unparen(idExpr).(*ast.Ident)
-		if !isIdent || c.objOf(id) != s.obj {
+		if !isIdent || lintutil.ObjOf(c.pass.TypesInfo, id) != s.obj {
 			return nil, nil, false
 		}
 		eqNil := e.Op == token.EQL
@@ -541,13 +505,6 @@ func (c *checker) refine(cond ast.Node, cur tupleSet, s *site) (outT, outF tuple
 func isNilIdent(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-func (c *checker) objOf(id *ast.Ident) types.Object {
-	if o := c.pass.TypesInfo.Uses[id]; o != nil {
-		return o
-	}
-	return c.pass.TypesInfo.Defs[id]
 }
 
 // apply is the per-node transfer function.
@@ -637,7 +594,7 @@ func (c *checker) releaseOf(n ast.Node, s *site) (isRelease, deferred bool) {
 		return false, false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok || c.objOf(id) != s.obj {
+	if !ok || lintutil.ObjOf(c.pass.TypesInfo, id) != s.obj {
 		return false, false
 	}
 	return true, deferred
@@ -660,7 +617,7 @@ func (c *checker) scanUse(n ast.Node, parents map[ast.Node]ast.Node, s *site) us
 	strongest := useNone
 	inspectShallowWithFuncLit(n, func(m ast.Node, inLit bool) bool {
 		id, ok := m.(*ast.Ident)
-		if !ok || c.objOf(id) != s.obj {
+		if !ok || lintutil.ObjOf(c.pass.TypesInfo, id) != s.obj {
 			return true
 		}
 		var cl useClass
